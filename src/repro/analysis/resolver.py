@@ -377,6 +377,25 @@ class _Collector(ast.NodeVisitor):
             ))
         self.generic_visit(node)
 
+    def visit_Subscript(self, node):
+        # ``self.x[k] = v`` (or ``del self.x[k]``) mutates the state
+        # behind ``self.x`` as surely as rebinding it does.
+        if (isinstance(node.ctx, (ast.Store, ast.Del))
+                and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "self"):
+            func = self._scope()
+            self.mod.attr_accesses.append(AttrAccess(
+                attr=node.value.attr,
+                kind="store",
+                lineno=node.lineno,
+                col=node.col_offset,
+                scope=self._scope_name(),
+                class_name=func.class_name if func is not None else None,
+                held_locks=self._held_locks(),
+            ))
+        self.generic_visit(node)
+
     def visit_Assign(self, node):
         if len(node.targets) == 1 and isinstance(node.value, ast.Call):
             target = dotted_chain(node.targets[0])

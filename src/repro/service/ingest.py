@@ -29,6 +29,7 @@ INGEST_ERROR_CODES = (
     "epoch-chain-truncated",    # chain unordered or cut before the incident
     "epoch-chain-out-of-ring",  # chain references evicted/forged events
     "fleet-chain-mismatch",     # merged export's per-tenant heads don't hold
+    "finding-malformed",   # a finding the index cannot sort (vault ingest)
     "duplicate-case",      # vault already holds this content-derived case
 )
 

@@ -25,12 +25,27 @@ Three properties make this a *vault* rather than a directory of JSON:
   chain re-verifies with :meth:`CaseVault.verify_audit`, so the vault's
   own history carries the same tamper evidence as the bundles it holds.
 
+Queries are served from memory. Each ``vault.ingest`` audit entry
+carries the case record's fields and the case's finding rows, flattened
+and type-checked once at ingest, so the hash chain covers the index
+too. Opening a vault parses ``audit.jsonl`` once and rebuilds the case
+records in ingest order and every finding row in causal order;
+:meth:`CaseVault.ingest` and :meth:`CaseVault.attach_report` keep them
+current. A case the log does not fully describe has its ``case.json``
+(and, for its rows, its ``bundle.json``) read once at open: a case with
+an attached report, a case whose entry predates entries carrying rows,
+and a case directory with no entry at all (a crash between the rename
+and the audit append). The log is never rewritten. The index assumes
+that one process writes each vault directory.
+
 Timestamps in the audit log are *virtual* (the evidence's own timeline)
 plus a monotone logical sequence — the vault never reads the wall
 clock, which keeps the whole storage layer deterministic and inside the
 repo's crimeslint envelope; only the HTTP layer above is "real".
 """
 
+import bisect
+import copy
 import hashlib
 import json
 import os
@@ -72,64 +87,110 @@ def _normalize_module(name):
     return str(name).replace("_", "-")
 
 
-def _finding_rows(case_id, bundle):
-    """Flatten one bundle into queryable finding rows (causally stamped).
+#: The fields of one finding row, in the positional order the audit log
+#: stores them (the ``case_id`` is the entry's own).
+ROW_FIELDS = ("tenant", "t_ms", "epoch", "seq", "module", "kind",
+              "severity", "summary", "source")
+_ROW_KEYS = ("case_id",) + ROW_FIELDS
+
+
+def _finding_rows(bundle):
+    """Flatten one bundle into positional finding rows (see
+    :data:`ROW_FIELDS`); :class:`IngestError` if it cannot be.
 
     Primary source is the journaled ``scan.finding`` flight events
     (virtual-time stamped, hash-covered); detection-result findings that
     never hit the journal (async verdicts, non-critical severities) ride
     along stamped with the bundle's incident time. Severity is joined in
     from the detection result where the module+summary matches.
+
+    The bundle's validator checks its chains, not these fields, and a
+    producer can re-chain whatever it likes, so the fields the index
+    sorts by are checked here, before anything is written: a number
+    (not NaN) for ``t_ms``, a string or None for ``tenant``, an int or
+    None for ``seq``.
     """
-    detection = bundle.get("detection") or {}
-    severity_by_key = {
-        (finding["module"], finding["summary"]): finding["severity"]
-        for finding in detection.get("findings", ())
-    }
-    rows = []
-    seen = set()
-    for event in bundle["flight"]["events"]:
-        if event["kind"] != "scan.finding":
-            continue
-        attrs = event.get("attrs", {})
-        key = (attrs.get("module"), attrs.get("summary"))
-        seen.add(key)
-        rows.append({
-            "case_id": case_id,
-            "tenant": event.get("tenant"),
-            "t_ms": event.get("t_ms"),
-            "epoch": event.get("epoch"),
-            "seq": event.get("seq"),
-            "module": attrs.get("module"),
-            "kind": attrs.get("finding_kind"),
-            "severity": severity_by_key.get(key),
-            "summary": attrs.get("summary"),
-            "source": "flight",
-        })
-    for finding in detection.get("findings", ()):
-        if (finding["module"], finding["summary"]) in seen:
-            continue
-        rows.append({
-            "case_id": case_id,
-            "tenant": bundle.get("tenant"),
-            "t_ms": bundle.get("virtual_time_ms"),
-            "epoch": detection.get("epoch"),
-            "seq": None,
-            "module": finding["module"],
-            "kind": finding["kind"],
-            "severity": finding["severity"],
-            "summary": finding["summary"],
-            "source": "detection",
-        })
+    try:
+        detection = bundle.get("detection") or {}
+        severity_by_key = {
+            (finding["module"], finding["summary"]): finding["severity"]
+            for finding in detection.get("findings", ())
+        }
+        rows = []
+        seen = set()
+        for event in bundle["flight"]["events"]:
+            if event["kind"] != "scan.finding":
+                continue
+            attrs = event.get("attrs", {})
+            key = (attrs.get("module"), attrs.get("summary"))
+            seen.add(key)
+            rows.append([event.get("tenant"), event.get("t_ms"),
+                         event.get("epoch"), event.get("seq"),
+                         attrs.get("module"), attrs.get("finding_kind"),
+                         severity_by_key.get(key), attrs.get("summary"),
+                         "flight"])
+        for finding in detection.get("findings", ()):
+            if (finding["module"], finding["summary"]) in seen:
+                continue
+            rows.append([bundle.get("tenant"), bundle.get("virtual_time_ms"),
+                         detection.get("epoch"), None, finding["module"],
+                         finding["kind"], finding["severity"],
+                         finding["summary"], "detection"])
+    except (AttributeError, KeyError, TypeError) as err:
+        raise IngestError("finding-malformed",
+                          "bundle findings are malformed: %r" % err) from None
+    for tenant, t_ms, _epoch, seq, *_rest in rows:
+        if (type(t_ms) not in (int, float) or t_ms != t_ms
+                or (tenant is not None and type(tenant) is not str)
+                or (seq is not None and type(seq) is not int)):
+            raise IngestError(
+                "finding-malformed",
+                "finding needs a number t_ms, a string tenant and an int "
+                "seq, got t_ms=%r tenant=%r seq=%r" % (t_ms, tenant, seq))
     return rows
 
 
-def _row_order(row):
-    # Causal order across tenants: virtual time, then tenant, then the
-    # per-tenant journal sequence (detection-only rows sort after the
-    # journaled rows of the same instant — they carry no seq).
-    return (row["t_ms"], row["tenant"] or "",
-            1 if row["seq"] is None else 0, row["seq"] or 0)
+def _entry_record(entry):
+    """The ``crimes-case/1`` record a ``vault.ingest`` entry describes."""
+    return {
+        "schema": CASE_SCHEMA,
+        "case_id": entry["case_id"],
+        "tenant": entry["tenant"],
+        "reason": entry["reason"],
+        "incident_epoch": entry["incident_epoch"],
+        "virtual_time_ms": entry["t_ms"],
+        "ingested_seq": entry["seq"],
+        "source": entry["source"],
+        "flight_head": entry["flight_head"],
+        "flight_events": entry["flight_events"],
+        "findings": len(entry["rows"]),
+        "slo_alerts": entry["slo_alerts"],
+        "dump": dict(entry["dump"]) if entry["dump"] else None,
+        "reports": [],
+        "state": "open",
+    }
+
+
+def _index(place, case_id, rows):
+    """Index entries for one case's rows; ``place`` is its ingest order.
+
+    Each entry leads with its sort key, so the index sorts with plain
+    tuple comparisons: causal order across tenants is virtual time, then
+    tenant, then the per-tenant journal sequence (detection-only rows go
+    after the journaled rows of the same instant — they carry no seq).
+    Ties fall to the case's place in ingest order, then the row's place
+    in its case, so a comparison never reaches the case ID or the row.
+    """
+    return [(row[1], row[0] or "", row[3] is None, row[3] or 0, place,
+             index, case_id, row)
+            for index, row in enumerate(rows)]
+
+
+def _copy_record(case):
+    # Stored records are replaced, never mutated; a caller gets its own
+    # copy. ``dump`` is flat, so only ``reports`` needs a deep copy.
+    return dict(case, dump=dict(case["dump"]) if case["dump"] else None,
+                reports=copy.deepcopy(case["reports"]))
 
 
 class CaseVault:
@@ -139,28 +200,99 @@ class CaseVault:
         self.root = os.path.abspath(root)
         self.cases_dir = os.path.join(self.root, "cases")
         self.audit_path = os.path.join(self.root, "audit.jsonl")
-        os.makedirs(self.cases_dir, exist_ok=True)
         self._lock = threading.RLock()
         self._audit_seq = 0
         self._audit_head = AUDIT_GENESIS
         self.rejects = 0
-        self._reload_audit_state()
+        # The in-memory index. ``_cases`` maps every case ID, in ingest
+        # order, to its ``vault.ingest`` entry, which holds its record
+        # (see :func:`_entry_record`); ``_records`` holds the record
+        # itself where the entry does not (see the module docstring).
+        # ``_rows`` holds an :func:`_index` entry for every finding row,
+        # in causal order.
+        self._cases = {}
+        self._records = {}
+        self._rows = []
+        self._load()
+
+    def _load(self):
+        """Recover the audit head and rebuild the index in one pass."""
+        entries = self.audit_entries()
+        if entries:
+            self._audit_seq = entries[-1]["seq"] + 1
+            self._audit_head = entries[-1]["hash"]
+        logged = {}
+        from_file = set()  # cases whose record lives only in case.json
+        for entry in entries:
+            kind = entry["kind"]
+            if kind == "vault.ingest":
+                logged[entry["case_id"]] = entry
+            elif kind == "vault.report":
+                from_file.add(entry["case_id"])
+            elif kind == "vault.reject":
+                self.rejects += 1
+        unlogged = {}
+        stored = self._stored_cases(len(logged))
+        if stored is not None:
+            logged = {case_id: entry for case_id, entry in logged.items()
+                      if case_id in stored}
+            # A case directory with no ingest entry crashed between its
+            # rename and its audit append. It holds the seq the next
+            # entry then took, so it goes just before that entry's case.
+            for case_id in stored.difference(logged):
+                if _CASE_ID_RE.match(case_id):  # else a staging leftover
+                    unlogged[case_id] = self._read_json(case_id, "case.json")
+        index = []
+        for case_id, entry in logged.items():
+            rows = entry.get("rows")
+            if rows is None:  # logged before entries carried rows
+                rows = self._bundle_rows(case_id)
+                from_file.add(case_id)
+            index += _index(entry["seq"], case_id, rows)
+        self._cases = logged
+        if unlogged:
+            for case_id, case in unlogged.items():
+                index += _index(case["ingested_seq"] - 0.5, case_id,
+                                self._bundle_rows(case_id))
+            places = {case_id: entry["seq"]
+                      for case_id, entry in logged.items()}
+            places.update((case_id, case["ingested_seq"] - 0.5)
+                          for case_id, case in unlogged.items())
+            self._cases = {case_id: logged.get(case_id)
+                           for case_id in sorted(places, key=places.get)}
+        self._records = unlogged
+        for case_id in from_file.intersection(self._cases):
+            self._records[case_id] = self._read_json(case_id, "case.json")
+        index.sort()
+        self._rows = index
+
+    def _stored_cases(self, logged):
+        """The names in ``cases/``, or None when they can only be the
+        ``logged`` cases.
+
+        A directory's link count is 2 (its name and its own ``.``) plus
+        one per subdirectory (each one's ``..``). The vault never removes
+        a case directory, so a count of exactly 2 + ``logged`` leaves no
+        room for a case the log lacks or a staging leftover, and the
+        listing (the costliest step of an open) is skipped. Any other
+        count, or a filesystem that does not keep one, lists.
+        """
+        try:
+            if os.stat(self.cases_dir).st_nlink == 2 + logged:
+                return None
+            return set(os.listdir(self.cases_dir))
+        except FileNotFoundError:
+            os.makedirs(self.cases_dir, exist_ok=True)
+            return set()
+
+    def _bundle_rows(self, case_id):
+        try:
+            return _finding_rows(self._read_json(case_id, "bundle.json"))
+        except IngestError as err:
+            raise VaultIntegrityError(
+                "stored bundle of %s: %s" % (case_id, err)) from None
 
     # -- audit log ---------------------------------------------------------
-
-    def _reload_audit_state(self):
-        """Recover the audit chain head after a reopen (append-only)."""
-        if not os.path.exists(self.audit_path):
-            return
-        with open(self.audit_path, "r") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                entry = json.loads(line)
-                self._audit_seq = entry["seq"] + 1
-                self._audit_head = entry["hash"]
-                if entry["kind"] == "vault.reject":
-                    self.rejects += 1
 
     def _audit_append(self, kind, **details):
         """Append one hash-chained line to the vault audit log."""
@@ -169,18 +301,21 @@ class CaseVault:
         digest = _chain_digest(self._audit_head, payload)
         entry = dict(payload, prev_hash=self._audit_head, hash=digest)
         with open(self.audit_path, "a") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            handle.write(_canonical(entry) + "\n")
             handle.flush()
         self._audit_seq += 1
         self._audit_head = digest
         return entry
 
     def audit_entries(self):
-        """Every audit-log entry, oldest first."""
-        if not os.path.exists(self.audit_path):
+        """Every audit-log entry, oldest first (one parse of the log)."""
+        try:
+            with open(self.audit_path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
             return []
-        with open(self.audit_path, "r") as handle:
-            return [json.loads(line) for line in handle if line.strip()]
+        return json.loads(b"[%s]" % b",".join(filter(None,
+                                                     data.split(b"\n"))))
 
     def verify_audit(self):
         """Re-derive the audit chain; ``{"ok", "checked", "error"}``."""
@@ -232,6 +367,7 @@ class CaseVault:
         with self._lock:
             try:
                 bundle = validate_bundle(bundle)
+                rows = _finding_rows(bundle)
             except IngestError as err:
                 self.rejects += 1
                 self._audit_append(
@@ -250,7 +386,6 @@ class CaseVault:
                 )
                 raise err
 
-            dump_meta = None
             staging = case_dir + ".staging"
             self._clear_staging(staging)  # stale leftover from a crash
             os.makedirs(staging)
@@ -258,29 +393,31 @@ class CaseVault:
             try:
                 bundle_path = os.path.join(staging, "bundle.json")
                 with open(bundle_path, "w") as handle:
-                    json.dump(bundle, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
+                    handle.write(_canonical(bundle) + "\n")
                 os.chmod(bundle_path, 0o444)
+                dump_meta = None
                 if dump is not None:
                     dump_meta = self._write_dump(staging, dump)
-                case = {
-                    "schema": CASE_SCHEMA,
+                entry = {
+                    "source": source,
                     "case_id": case_id,
                     "tenant": bundle["tenant"],
                     "reason": bundle["reason"],
                     "incident_epoch": bundle["incident_epoch"],
-                    "virtual_time_ms": bundle["virtual_time_ms"],
-                    "ingested_seq": self._audit_seq,
-                    "source": source,
+                    "t_ms": bundle["virtual_time_ms"],
                     "flight_head": bundle["flight"]["head_hash"],
                     "flight_events": len(bundle["flight"]["events"]),
-                    "findings": len(_finding_rows(case_id, bundle)),
                     "slo_alerts": bundle["slo"].get("alerts", 0),
                     "dump": dump_meta,
-                    "reports": [],
-                    "state": "open",
+                    "dump_sha256": dump_meta["sha256"] if dump_meta else None,
+                    "rows": rows,
                 }
+                case = _entry_record(dict(entry, seq=self._audit_seq))
                 self._write_case_json(staging, case)
+                # Both runs are sorted, so the sort is a linear merge; the
+                # new list leaves any snapshot a query holds untouched.
+                index = sorted(self._rows + _index(self._audit_seq, case_id,
+                                                   rows))
                 os.rename(staging, case_dir)
                 committed = True
             finally:
@@ -291,13 +428,9 @@ class CaseVault:
                 # ingest of this case ID.
                 if not committed:
                     self._clear_staging(staging)
-            self._audit_append(
-                "vault.ingest", source=source, case_id=case_id,
-                tenant=bundle["tenant"], reason=bundle["reason"],
-                t_ms=bundle["virtual_time_ms"],
-                flight_head=bundle["flight"]["head_hash"],
-                dump_sha256=dump_meta["sha256"] if dump_meta else None,
-            )
+            self._cases[case_id] = self._audit_append("vault.ingest",
+                                                      **entry)
+            self._rows = index
             return case
 
     def _clear_staging(self, staging):
@@ -339,47 +472,52 @@ class CaseVault:
         }
 
     def _write_case_json(self, case_dir, case):
-        # Atomic replace: workers read case records without the vault
-        # lock, so a concurrent reader must see the old record or the
-        # new one — never a torn in-place write.
+        # Atomic replace: a concurrent reader of case.json must see the
+        # old record or the new one — never a torn in-place write.
         path = os.path.join(case_dir, "case.json")
         tmp = path + ".tmp"
         with open(tmp, "w") as handle:
-            json.dump(case, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(_canonical(case) + "\n")
         os.replace(tmp, path)
+
+    def _read_json(self, case_id, name):
+        path = os.path.join(self._case_dir(case_id), name)
+        try:
+            with open(path, "r") as handle:
+                return json.load(handle)
+        except FileNotFoundError:
+            raise CaseNotFoundError(case_id) from None
 
     # -- reading -----------------------------------------------------------
 
+    def _record(self, case_id):
+        """A caller-owned copy of the case's record (lock held)."""
+        self._case_dir(case_id)  # a malformed ID is a plain not-found
+        if case_id not in self._cases:
+            raise CaseNotFoundError(case_id)
+        record = self._records.get(case_id)
+        if record is None:
+            return _entry_record(self._cases[case_id])
+        return _copy_record(record)
+
     def case_ids(self):
         """Stored case IDs, in ingest order."""
-        cases = [self.case(case_id) for case_id in
-                 sorted(os.listdir(self.cases_dir))
-                 if _CASE_ID_RE.match(case_id)]
-        cases.sort(key=lambda case: case["ingested_seq"])
-        return [case["case_id"] for case in cases]
+        with self._lock:
+            return list(self._cases)
 
     def case(self, case_id):
         """The ``crimes-case/1`` record (metadata + attached reports)."""
-        path = os.path.join(self._case_dir(case_id), "case.json")
-        try:
-            with open(path, "r") as handle:
-                return json.load(handle)
-        except FileNotFoundError:
-            raise CaseNotFoundError(case_id) from None
+        with self._lock:
+            return self._record(case_id)
 
     def cases(self):
         """Every case record, in ingest order."""
-        return [self.case(case_id) for case_id in self.case_ids()]
+        with self._lock:
+            return [self._record(case_id) for case_id in self._cases]
 
     def bundle(self, case_id):
         """The stored (already-validated) incident bundle."""
-        path = os.path.join(self._case_dir(case_id), "bundle.json")
-        try:
-            with open(path, "r") as handle:
-                return json.load(handle)
-        except FileNotFoundError:
-            raise CaseNotFoundError(case_id) from None
+        return self._read_json(case_id, "bundle.json")
 
     def load_dump(self, case_id):
         """Rehydrate the case's dump attachment (None if it has none).
@@ -420,23 +558,27 @@ class CaseVault:
         if "job_id" not in report:
             raise ServiceError("report needs a job_id to be attachable")
         with self._lock:
-            case = self.case(case_id)
+            case = self._record(case_id)
             if any(existing["job_id"] == report["job_id"]
                    for existing in case["reports"]):
                 raise ServiceError(
                     "case %s already has a report for %s"
                     % (case_id, report["job_id"])
                 )
-            case["reports"].append(report)
-            case["reports"].sort(key=lambda entry: entry["job_id"])
-            case["state"] = "enriched"
+            # The round trip gives the index its own copy of the report
+            # and fails on an unserializable one before anything lands.
+            case = json.loads(_canonical(dict(
+                case, state="enriched",
+                reports=sorted(case["reports"] + [report],
+                               key=lambda entry: entry["job_id"]))))
             self._write_case_json(self._case_dir(case_id), case)
             self._audit_append(
                 "vault.report", case_id=case_id, job_id=report["job_id"],
                 report_kind=report.get("kind"),
                 virtual_cost_ms=report.get("virtual_cost_ms"),
             )
-            return case
+            self._records[case_id] = case
+            return _copy_record(case)
 
     # -- cross-case query --------------------------------------------------
 
@@ -451,21 +593,16 @@ class CaseVault:
         the fleet merge uses.
         """
         wanted = _normalize_module(module) if module is not None else None
-        rows = []
-        for case_id in self.case_ids():
-            for row in _finding_rows(case_id, self.bundle(case_id)):
-                if wanted is not None and (
-                        row["module"] is None
-                        or _normalize_module(row["module"]) != wanted):
-                    continue
-                if since is not None and (row["t_ms"] is None
-                                          or row["t_ms"] < since):
-                    continue
-                if tenant is not None and row["tenant"] != tenant:
-                    continue
-                rows.append(row)
-        rows.sort(key=_row_order)
-        return rows
+        with self._lock:
+            # The rows are in causal order, so ``since`` is a bisection;
+            # the slice is this query's snapshot.
+            picked = self._rows[0 if since is None
+                                else bisect.bisect_left(self._rows, (since,)):]
+        return [dict(zip(_ROW_KEYS, (case_id, *row)))
+                for *_key, case_id, row in picked
+                if (wanted is None or (row[4] is not None and
+                                       _normalize_module(row[4]) == wanted))
+                and (tenant is None or row[0] == tenant)]
 
     # -- accounting --------------------------------------------------------
 
@@ -474,7 +611,7 @@ class CaseVault:
         # audit head move together under ingest; reading them unlocked
         # can tear (a head that does not match the sequence).
         with self._lock:
-            cases = self.cases()
+            cases = [self._record(case_id) for case_id in self._cases]
             return {
                 "cases": len(cases),
                 "rejects": self.rejects,

@@ -278,6 +278,30 @@ def test_init_only_helpers_are_exempt():
     assert list(model.unguarded_accesses()) == []
 
 
+def test_item_assignment_is_a_mutation_the_lock_guards():
+    """``self.table[key] = value`` changes shared state without
+    rebinding ``self.table``; it still makes the attribute guarded."""
+    project = project_of(src__repro__svc="""
+        import threading
+
+        class Index:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.table = {}
+
+            def add(self, key, value):
+                with self._lock:
+                    self.table[key] = value
+
+            def keys(self):
+                return list(self.table)
+    """)
+    module, cls = next(lock_owning_classes(project))
+    model = GuardedByModel(project, module, cls)
+    assert "table" in model.protected
+    assert [a.scope for a in model.unguarded_accesses()] == ["Index.keys"]
+
+
 # -- lock ordering ---------------------------------------------------------
 
 def test_lock_order_cycle_detected_with_witness():

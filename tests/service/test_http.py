@@ -3,6 +3,9 @@
 import copy
 import http.client
 import json
+import socket
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -67,6 +70,21 @@ class TestIngestRoutes:
         error = json.loads(body)["error"]
         assert error["code"] == "hash-chain-broken"
         assert json.loads(get(service, "/cases")[1])["cases"] == []
+
+    def test_malformed_finding_is_400_and_the_vault_reopens(
+            self, service, malformed_finding_bundles):
+        status, body = post(service, "/cases",
+                            malformed_finding_bundles["virtual_time_ms"])
+        assert status == 400
+        assert json.loads(body)["error"]["code"] == "finding-malformed"
+        assert json.loads(get(service, "/findings")[1])["count"] == 0
+        reopened = CaseVault(service.vault.root)
+        assert reopened.case_ids() == [] and reopened.verify_audit()["ok"]
+
+    def test_nan_since_is_400(self, service):
+        status, body = get(service, "/findings?since=nan")
+        assert status == 400
+        assert json.loads(body)["error"]["code"] == "bad-request"
 
     def test_duplicate_is_409(self, service, rootkit_bundle):
         assert post(service, "/cases", rootkit_bundle)[0] == 201
@@ -336,3 +354,86 @@ class TestConcurrentFleetExport:
         parsed = parse_prometheus_text(text)
         assert any(sample["name"].startswith("fleet_")
                    for sample in parsed["samples"])
+
+
+class TestResponseWrites:
+    def test_keep_alive_point_reads_do_not_stall(self, service,
+                                                 rootkit_bundle):
+        """Back-to-back requests on one keep-alive connection. A response
+        written as a header send plus a body send waited out the client's
+        delayed ACK (~40 ms) on every request; one write does not."""
+        status, body = post(service, "/cases", rootkit_bundle)
+        assert status == 201
+        path = "/cases/%s" % json.loads(body)["case_id"]
+        conn = http.client.HTTPConnection(*service.address, timeout=10)
+        elapsed = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("GET", path)
+                response = conn.getresponse()
+                payload = response.read()
+                elapsed.append(time.perf_counter() - started)
+                assert response.status == 200
+                assert json.loads(payload)["tenant"] == "tenant-rk"
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.020, elapsed
+
+    def test_json_bodies_are_compact(self, service, rootkit_bundle):
+        status, body = post(service, "/cases", rootkit_bundle)
+        assert status == 201
+        status, body = get(service, "/cases/%s/bundle"
+                           % json.loads(body)["case_id"])
+        assert status == 200
+        assert body == json.dumps(rootkit_bundle, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
+    def test_http_0_9_request_gets_the_body(self, service):
+        """A two-word request line is HTTP/0.9: the answer is the body
+        alone (no status line, no headers), then the connection closes."""
+        with socket.create_connection(service.address, timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        assert json.loads(b"".join(chunks))["ok"] is True
+
+    def test_bind_does_no_reverse_dns_lookup(self, tmp_path, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("socket.getfqdn called on bind")
+
+        monkeypatch.setattr(socket, "getfqdn", refuse)
+        svc = CaseService(CaseVault(tmp_path / "vault"), workers=1,
+                          seed=3).start()
+        try:
+            assert svc._server.server_name == svc.address[0]
+            assert get(svc, "/healthz")[0] == 200
+        finally:
+            svc.stop()
+
+    def test_reingest_after_crashed_ingest_is_409(self, tmp_path,
+                                                  rootkit_bundle):
+        """A crash between the rename and the audit append: the reopened
+        service lists the case and answers a retry with 409, not 500."""
+        vault = CaseVault(tmp_path / "vault")
+        case_id = vault.ingest(copy.deepcopy(rootkit_bundle))["case_id"]
+        with open(vault.audit_path, "w"):
+            pass  # the case's audit line never landed
+        svc = CaseService(CaseVault(tmp_path / "vault"), workers=1,
+                          seed=3).start()
+        try:
+            status, body = get(svc, "/cases")
+            assert [case["case_id"] for case in
+                    json.loads(body)["cases"]] == [case_id]
+            status, body = post(svc, "/cases", rootkit_bundle)
+            assert status == 409
+            assert json.loads(body)["error"]["code"] == "duplicate-case"
+            status, body = get(svc, "/findings")
+            assert {row["case_id"] for row in
+                    json.loads(body)["findings"]} == {case_id}
+        finally:
+            svc.stop()

@@ -1,9 +1,13 @@
 """Case vault tests: adversarial ingest, audit chain, queries, dumps."""
 
 import copy
+import hashlib
+import itertools
 import json
 import os
+import re
 import stat
+import threading
 
 import pytest
 
@@ -45,6 +49,15 @@ class TestIngest:
                             "bundle.json")
         mode = stat.S_IMODE(os.stat(path).st_mode)
         assert not mode & (stat.S_IWUSR | stat.S_IWGRP | stat.S_IWOTH)
+        # Stored compactly (one C-encoder pass), and it parses back equal.
+        with open(path) as handle:
+            text = handle.read()
+        assert text == json.dumps(rootkit_bundle, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+        assert json.loads(text) == rootkit_bundle
+        with open(os.path.join(os.path.dirname(path), "case.json")) as handle:
+            text = handle.read()
+        assert "\n " not in text and json.loads(text) == case
 
     def test_ingest_is_audited(self, vault, rootkit_bundle):
         case = vault.ingest(rootkit_bundle)
@@ -289,3 +302,290 @@ class TestConcurrentAudit:
                 thread.join()
         assert errors == []
         assert vault.verify_audit()["ok"]
+
+
+
+class TestMalformedFindings:
+    def test_bad_sort_fields_are_rejected_before_any_write(
+            self, tmp_path, malformed_finding_bundles, fleet_bundles):
+        root = tmp_path / "v"
+        vault = CaseVault(root)
+        for label, bundle in sorted(malformed_finding_bundles.items()):
+            with pytest.raises(IngestError) as err:
+                vault.ingest(copy.deepcopy(bundle))
+            assert err.value.code == "finding-malformed", label
+        assert os.listdir(vault.cases_dir) == []
+        assert vault.case_ids() == [] and vault.findings() == []
+        assert [entry["code"] for entry in vault.audit_entries()] == \
+            ["finding-malformed"] * len(malformed_finding_bundles)
+        # The vault still opens, and still takes good evidence.
+        reopened = CaseVault(root)
+        assert reopened.verify_audit()["ok"]
+        assert reopened.stats()["rejects"] == len(malformed_finding_bundles)
+        reopened.ingest(copy.deepcopy(fleet_bundles[0]))
+        assert_index_matches_brute_force(CaseVault(root))
+
+
+# -- the finding index against the brute force it replaced ----------------
+
+def _oracle_rows(case_id, bundle):
+    """Flatten one bundle into finding rows, as ``findings()`` did before
+    it had an index."""
+    detection = bundle.get("detection") or {}
+    severity_by_key = {
+        (finding["module"], finding["summary"]): finding["severity"]
+        for finding in detection.get("findings", ())
+    }
+    rows = []
+    seen = set()
+    for event in bundle["flight"]["events"]:
+        if event["kind"] != "scan.finding":
+            continue
+        attrs = event.get("attrs", {})
+        key = (attrs.get("module"), attrs.get("summary"))
+        seen.add(key)
+        rows.append({
+            "case_id": case_id, "tenant": event.get("tenant"),
+            "t_ms": event.get("t_ms"), "epoch": event.get("epoch"),
+            "seq": event.get("seq"), "module": attrs.get("module"),
+            "kind": attrs.get("finding_kind"),
+            "severity": severity_by_key.get(key),
+            "summary": attrs.get("summary"), "source": "flight",
+        })
+    for finding in detection.get("findings", ()):
+        if (finding["module"], finding["summary"]) in seen:
+            continue
+        rows.append({
+            "case_id": case_id, "tenant": bundle.get("tenant"),
+            "t_ms": bundle.get("virtual_time_ms"),
+            "epoch": detection.get("epoch"), "seq": None,
+            "module": finding["module"], "kind": finding["kind"],
+            "severity": finding["severity"], "summary": finding["summary"],
+            "source": "detection",
+        })
+    return rows
+
+
+def _stored(vault, case_id, name):
+    with open(os.path.join(vault.cases_dir, case_id, name)) as handle:
+        return json.load(handle)
+
+
+def _stored_cases(vault):
+    """Every ``case.json`` on disk, in ``ingested_seq`` order."""
+    cases = [_stored(vault, name, "case.json")
+             for name in sorted(os.listdir(vault.cases_dir))
+             if re.match(r"^case-[0-9a-f]{16}$", name)]
+    return sorted(cases, key=lambda case: case["ingested_seq"])
+
+
+def brute_force_rows(vault):
+    """Every finding row re-derived from every stored bundle on disk:
+    cases in ``ingested_seq`` order, then a stable causal sort."""
+    rows = []
+    for case in _stored_cases(vault):
+        rows.extend(_oracle_rows(case["case_id"], _stored(
+            vault, case["case_id"], "bundle.json")))
+    rows.sort(key=lambda row: (row["t_ms"], row["tenant"] or "",
+                               1 if row["seq"] is None else 0,
+                               row["seq"] or 0))
+    return rows
+
+
+def brute_force_filter(rows, module=None, since=None, tenant=None):
+    wanted = module.replace("_", "-") if module is not None else None
+    return [row for row in rows
+            if (wanted is None or (row["module"] is not None and
+                                   row["module"].replace("_", "-") == wanted))
+            and (since is None or (row["t_ms"] is not None
+                                   and row["t_ms"] >= since))
+            and (tenant is None or row["tenant"] == tenant)]
+
+
+def assert_index_matches_brute_force(vault):
+    rows = brute_force_rows(vault)
+    assert rows, "the fixture bundles should carry findings"
+    stamps = sorted({row["t_ms"] for row in rows})
+    modules = (None, "canary", "syscall_table", "syscall-table", "malware",
+               "no-such-module")
+    tenants = (None, "nobody") + tuple(sorted({row["tenant"]
+                                               for row in rows}))
+    sinces = (None, stamps[0] - 1.0, stamps[-1] + 1.0) + tuple(stamps) \
+        + tuple((a + b) / 2.0 for a, b in zip(stamps, stamps[1:]))
+    for module, tenant, since in itertools.product(modules, tenants,
+                                                   sinces):
+        assert vault.findings(module=module, since=since, tenant=tenant) \
+            == brute_force_filter(rows, module, since, tenant), \
+            (module, tenant, since)
+    cases = _stored_cases(vault)
+    assert vault.case_ids() == [case["case_id"] for case in cases]
+    assert vault.cases() == cases
+
+
+def _truncate_audit(vault, lines):
+    with open(vault.audit_path) as handle:
+        kept = handle.readlines()[:-lines]
+    with open(vault.audit_path, "w") as handle:
+        handle.writelines(kept)
+
+
+class TestFindingIndex:
+    def test_index_matches_brute_force_through_reopen_and_report(
+            self, tmp_path, fleet_bundles):
+        vault = CaseVault(tmp_path / "v")
+        for bundle in fleet_bundles:
+            vault.ingest(copy.deepcopy(bundle))
+        assert any(row["source"] == "detection" for row in vault.findings())
+        assert_index_matches_brute_force(vault)
+
+        reopened = CaseVault(tmp_path / "v")
+        assert reopened.findings() == vault.findings()
+        assert_index_matches_brute_force(reopened)
+
+        case_id = reopened.case_ids()[2]
+        reopened.attach_report(case_id, {"job_id": "job-0007",
+                                         "kind": "bundle-triage"})
+        assert reopened.case(case_id)["state"] == "enriched"
+        assert_index_matches_brute_force(reopened)
+        enriched = CaseVault(tmp_path / "v")
+        assert enriched.case(case_id)["reports"] == [
+            {"job_id": "job-0007", "kind": "bundle-triage"}]
+        assert enriched.stats() == reopened.stats()
+        assert_index_matches_brute_force(enriched)
+
+    def test_returned_records_and_rows_are_copies(self, vault,
+                                                  rootkit_bundle):
+        case = vault.ingest(rootkit_bundle)
+        case["reports"].append({"job_id": "forged"})
+        vault.case(case["case_id"])["tenant"] = "forged"
+        vault.findings()[0]["tenant"] = "forged"
+        assert vault.case(case["case_id"])["reports"] == []
+        assert vault.case(case["case_id"])["tenant"] == "tenant-rk"
+        assert vault.findings()[0]["tenant"] == "tenant-rk"
+
+    def test_crash_before_audit_append_is_recovered(self, tmp_path,
+                                                    fleet_bundles):
+        """A crash between the rename and the audit append leaves a case
+        directory the log never mentions. Reopening lists it in place,
+        re-derives its rows from its bundle, and a retry of the same
+        evidence is a duplicate, not a stuck case."""
+        vault = CaseVault(tmp_path / "v")
+        for bundle in fleet_bundles[:4]:
+            vault.ingest(copy.deepcopy(bundle))
+        _truncate_audit(vault, 1)
+
+        reopened = CaseVault(tmp_path / "v")
+        assert reopened.verify_audit()["ok"]
+        assert reopened.case_ids() == vault.case_ids()
+        assert reopened.findings() == vault.findings()
+        assert reopened.stats()["cases"] == 4
+        with pytest.raises(DuplicateCaseError):
+            reopened.ingest(copy.deepcopy(fleet_bundles[3]))
+        assert_index_matches_brute_force(reopened)
+
+    def test_staging_leftover_is_not_a_case(self, tmp_path, fleet_bundles):
+        vault = CaseVault(tmp_path / "v")
+        for bundle in fleet_bundles[:2]:
+            vault.ingest(copy.deepcopy(bundle))
+        os.makedirs(os.path.join(vault.cases_dir,
+                                 case_id_for(fleet_bundles[2]) + ".staging"))
+        reopened = CaseVault(tmp_path / "v")
+        assert reopened.case_ids() == vault.case_ids()
+        assert reopened.findings() == vault.findings()
+        reopened.ingest(copy.deepcopy(fleet_bundles[2]))
+        assert_index_matches_brute_force(reopened)
+
+    def test_logged_case_removed_from_outside_is_left_out(
+            self, tmp_path, fleet_bundles):
+        vault = CaseVault(tmp_path / "v")
+        for bundle in fleet_bundles[:3]:
+            vault.ingest(copy.deepcopy(bundle))
+        gone = vault.case_ids()[1]
+        case_dir = os.path.join(vault.cases_dir, gone)
+        for name in os.listdir(case_dir):
+            os.chmod(os.path.join(case_dir, name), 0o644)
+            os.remove(os.path.join(case_dir, name))
+        os.rmdir(case_dir)
+        reopened = CaseVault(tmp_path / "v")
+        assert gone not in reopened.case_ids()
+        assert all(row["case_id"] != gone for row in reopened.findings())
+        assert_index_matches_brute_force(reopened)
+
+    def test_unlogged_case_goes_before_the_entry_that_took_its_seq(
+            self, tmp_path, fleet_bundles):
+        vault = CaseVault(tmp_path / "v")
+        for bundle in fleet_bundles[:3]:
+            vault.ingest(copy.deepcopy(bundle))
+        _truncate_audit(vault, 1)
+        reopened = CaseVault(tmp_path / "v")
+        # The next ingest takes the seq the crashed one was stamped with.
+        case = reopened.ingest(copy.deepcopy(fleet_bundles[3]))
+        assert case["ingested_seq"] == \
+            reopened.case(vault.case_ids()[-1])["ingested_seq"]
+        order = vault.case_ids() + [case["case_id"]]
+        assert reopened.case_ids() == order
+        again = CaseVault(tmp_path / "v")
+        assert again.case_ids() == order
+        assert again.findings() == reopened.findings()
+
+    def test_legacy_log_without_rows_answers_identically(self, tmp_path,
+                                                         fleet_bundles):
+        vault = CaseVault(tmp_path / "v")
+        for bundle in fleet_bundles:
+            vault.ingest(copy.deepcopy(bundle))
+        # Rewrite the log the way it was written before entries carried
+        # finding rows: same entries, no rows, re-chained, spaced JSON.
+        entries = vault.audit_entries()
+        prev = AUDIT_GENESIS
+        with open(vault.audit_path, "w") as handle:
+            for entry in entries:
+                payload = {key: value for key, value in entry.items()
+                           if key not in ("rows", "prev_hash", "hash")}
+                digest = hashlib.sha256((prev + json.dumps(
+                    payload, sort_keys=True, separators=(",", ":"))
+                ).encode("utf-8")).hexdigest()
+                handle.write(json.dumps(dict(payload, prev_hash=prev,
+                                             hash=digest),
+                                        sort_keys=True) + "\n")
+                prev = digest
+        legacy = CaseVault(tmp_path / "v")
+        assert legacy.verify_audit()["ok"]
+        assert all("rows" not in entry for entry in legacy.audit_entries())
+        assert legacy.case_ids() == vault.case_ids()
+        assert legacy.findings() == vault.findings()
+        assert_index_matches_brute_force(legacy)
+
+    def test_snapshots_hold_all_or_none_of_a_case(self, tmp_path,
+                                                  fleet_bundles):
+        vault = CaseVault(tmp_path / "v")
+        order = [case_id_for(bundle) for bundle in fleet_bundles]
+        sizes = {case_id_for(bundle): len(_oracle_rows(None, bundle))
+                 for bundle in fleet_bundles}
+        assert max(sizes.values()) > 1, "need a case with several rows"
+        errors = []
+
+        def ingest_all():
+            try:
+                for bundle in fleet_bundles:
+                    vault.ingest(copy.deepcopy(bundle))
+            except Exception as err:  # pragma: no cover - fail loud
+                errors.append(err)
+
+        writer = threading.Thread(target=ingest_all)
+        writer.start()
+        snapshots = 0
+        while writer.is_alive() or snapshots == 0:
+            rows = vault.findings()
+            ids = vault.case_ids()
+            counts = {}
+            for row in rows:
+                counts[row["case_id"]] = counts.get(row["case_id"], 0) + 1
+            assert all(counts[case_id] == sizes[case_id]
+                       for case_id in counts), counts
+            assert set(counts) <= set(ids)
+            assert ids == order[:len(ids)]
+            snapshots += 1
+        writer.join()
+        assert errors == []
+        assert vault.case_ids() == order
+        assert_index_matches_brute_force(vault)
